@@ -3,12 +3,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use binding::Datapath;
+use binding::{Datapath, UnitId};
 use cdfg::{Cdfg, OpClass};
 use pmsched::{
     power_manage, OpWeights, PowerManageError, PowerManagementOptions, PowerManagementResult,
     SavingsReport, SelectProbabilities,
 };
+use rtl::sim::UnitActivity;
 use rtl::{Controller, GateModel, SimError, Simulator};
 use sched::ResourceConstraint;
 
@@ -208,79 +209,138 @@ pub fn gate_level_with_result(
     result: &PowerManagementResult,
     options: &GateLevelOptions,
 ) -> Result<GateLevelReport, EstimateError> {
-    if options.samples == 0 {
-        return Err(EstimateError::degenerate(
-            "zero samples requested: no activity to compare against",
-        ));
+    let designs = Designs::build(cdfg, result, options)?;
+
+    // Simulate both designs on identical random vectors, drawn one at a
+    // time into a reused buffer.
+    let mut managed_sim = Simulator::new(result.cdfg(), result.schedule(), &designs.managed)?;
+    let mut baseline_sim = Simulator::new(cdfg, result.baseline_schedule(), &designs.baseline)?;
+    let mut vectors = RandomVectors::new(cdfg, options.seed);
+    // The managed CDFG is a copy of `cdfg` plus control edges, so both
+    // designs read the buffer in the generator's input order.  A result
+    // computed from another design is reported, not fed wrong values.
+    if let Some((name, _)) = managed_sim
+        .input_names()
+        .iter()
+        .zip(vectors.input_names())
+        .find(|(ours, theirs)| ours != theirs)
+    {
+        return Err(SimError::MissingInput(name.clone()).into());
     }
-    // Managed design.
-    let managed_controller = Controller::generate(result);
-    let managed_datapath = Datapath::build(result.cdfg(), result.schedule())?;
-    // Original (baseline) design: same constraints, traditional schedule,
-    // ungated controller.  Note the baseline uses the original CDFG without
-    // the control edges.
-    let baseline_controller = Controller::ungated(cdfg, result.baseline_schedule());
-    let baseline_datapath = Datapath::build(cdfg, result.baseline_schedule())?;
-
-    let gate_model = GateModel::new();
-    let managed_gates = gate_model.expand(&managed_datapath, &managed_controller);
-    let baseline_gates = gate_model.expand(&baseline_datapath, &baseline_controller);
-
-    // Simulate both designs on identical random vectors.
-    let vectors = RandomVectors::new(cdfg, options.seed).samples(options.samples);
-    let mut managed_sim = Simulator::new(result.cdfg(), result.schedule(), &managed_controller)?;
-    let mut baseline_sim = Simulator::new(cdfg, result.baseline_schedule(), &baseline_controller)?;
-    for sample in &vectors {
-        managed_sim.run_sample(sample)?;
-        baseline_sim.run_sample(sample)?;
+    let mut sample = vec![0; vectors.input_names().len()];
+    for _ in 0..options.samples {
+        vectors.sample_into(&mut sample);
+        managed_sim.run_dense(&sample)?;
+        baseline_sim.run_dense(&sample)?;
     }
 
-    let weights = OpWeights::paper_power();
-    let managed_power = simulated_energy(&managed_sim, &weights, cdfg.default_bitwidth())
-        + controller_energy(&managed_controller, options.samples);
-    let original_power = simulated_energy(&baseline_sim, &weights, cdfg.default_bitwidth())
-        + controller_energy(&baseline_controller, options.samples);
-
-    // The explicit NaN checks matter: a plain `x <= 0` would wave NaN through
-    // into every downstream ratio.
-    if !original_power.is_finite() || original_power <= 0.0 {
-        return Err(EstimateError::degenerate(format!(
-            "baseline simulates to non-positive power ({original_power}); \
-             a zero-activity design has no savings ratio"
-        )));
-    }
-    let original_area = baseline_gates.total();
-    let managed_area = managed_gates.total();
-    if !original_area.is_finite() || original_area <= 0.0 {
-        return Err(EstimateError::degenerate(format!(
-            "baseline expands to non-positive gate area ({original_area})"
-        )));
-    }
-
-    Ok(GateLevelReport {
-        name: cdfg.name().to_owned(),
-        latency: options.latency,
-        original_area,
-        managed_area,
-        area_ratio: managed_area / original_area,
-        original_power,
-        managed_power,
-        power_reduction_percent: 100.0 * (original_power - managed_power) / original_power,
-        samples: options.samples,
-    })
+    designs.report(
+        cdfg,
+        options,
+        (managed_sim.activity(), managed_sim.datapath()),
+        (baseline_sim.activity(), baseline_sim.datapath()),
+    )
 }
 
-/// Converts the simulator's per-unit activity into energy.
+/// Per-unit activity of one simulated design with the datapath it ran on.
+pub(crate) type Simulated<'a> = (&'a BTreeMap<UnitId, UnitActivity>, &'a Datapath);
+
+/// The two designs a gate-level comparison simulates: their controllers
+/// and gate-equivalent areas.
+pub(crate) struct Designs {
+    /// Controller of the power-managed design.
+    pub(crate) managed: Controller,
+    /// Ungated controller of the original design.
+    pub(crate) baseline: Controller,
+    managed_area: f64,
+    original_area: f64,
+}
+
+impl Designs {
+    /// Generates both controllers and expands both designs to gates.
+    pub(crate) fn build(
+        cdfg: &Cdfg,
+        result: &PowerManagementResult,
+        options: &GateLevelOptions,
+    ) -> Result<Self, EstimateError> {
+        if options.samples == 0 {
+            return Err(EstimateError::degenerate(
+                "zero samples requested: no activity to compare against",
+            ));
+        }
+        // Managed design.
+        let managed = Controller::generate(result);
+        let managed_datapath = Datapath::build(result.cdfg(), result.schedule())?;
+        // Original (baseline) design: same constraints, traditional
+        // schedule, ungated controller.  Note the baseline uses the
+        // original CDFG without the control edges.
+        let baseline = Controller::ungated(cdfg, result.baseline_schedule());
+        let baseline_datapath = Datapath::build(cdfg, result.baseline_schedule())?;
+
+        let gate_model = GateModel::new();
+        let managed_area = gate_model.expand(&managed_datapath, &managed).total();
+        let original_area = gate_model.expand(&baseline_datapath, &baseline).total();
+        Ok(Designs { managed, baseline, managed_area, original_area })
+    }
+
+    /// Turns the simulated activity of both designs into the report.
+    pub(crate) fn report(
+        &self,
+        cdfg: &Cdfg,
+        options: &GateLevelOptions,
+        managed: Simulated<'_>,
+        baseline: Simulated<'_>,
+    ) -> Result<GateLevelReport, EstimateError> {
+        let weights = OpWeights::paper_power();
+        let managed_power = simulated_energy(managed, &weights, cdfg.default_bitwidth())
+            + controller_energy(&self.managed, options.samples);
+        let original_power = simulated_energy(baseline, &weights, cdfg.default_bitwidth())
+            + controller_energy(&self.baseline, options.samples);
+
+        // The explicit NaN checks matter: a plain `x <= 0` would wave NaN
+        // through into every downstream ratio.
+        if !original_power.is_finite() || original_power <= 0.0 {
+            return Err(EstimateError::degenerate(format!(
+                "baseline simulates to non-positive power ({original_power}); \
+                 a zero-activity design has no savings ratio"
+            )));
+        }
+        let (original_area, managed_area) = (self.original_area, self.managed_area);
+        if !original_area.is_finite() || original_area <= 0.0 {
+            return Err(EstimateError::degenerate(format!(
+                "baseline expands to non-positive gate area ({original_area})"
+            )));
+        }
+
+        Ok(GateLevelReport {
+            name: cdfg.name().to_owned(),
+            latency: options.latency,
+            original_area,
+            managed_area,
+            area_ratio: managed_area / original_area,
+            original_power,
+            managed_power,
+            power_reduction_percent: 100.0 * (original_power - managed_power) / original_power,
+            samples: options.samples,
+        })
+    }
+}
+
+/// Converts a simulated design's per-unit activity into energy.
 ///
 /// Each active cycle of a unit costs half its nominal class weight (clocking
 /// and internal-node activity) plus a data-dependent part proportional to
 /// the fraction of interface bits that toggled.  An idle (gated) cycle costs
 /// nothing — its inputs are held, which is the entire point of the paper's
 /// shut-down technique.
-fn simulated_energy(sim: &Simulator, weights: &OpWeights, bitwidth: u32) -> f64 {
+fn simulated_energy(
+    (activity, datapath): Simulated<'_>,
+    weights: &OpWeights,
+    bitwidth: u32,
+) -> f64 {
     let mut per_class: BTreeMap<OpClass, (u64, u64)> = BTreeMap::new();
-    for (unit, activity) in sim.activity() {
-        if let Some(fu) = sim.datapath().fu_binding().unit(*unit) {
+    for (unit, activity) in activity {
+        if let Some(fu) = datapath.fu_binding().unit(*unit) {
             let entry = per_class.entry(fu.class).or_insert((0, 0));
             entry.0 += activity.active_cycles;
             entry.1 += activity.toggled_bits;

@@ -21,6 +21,10 @@
 //!   degenerate one-curve case and [`voltage::VoltagePolicy`] exposes both
 //!   as one explore axis.
 //!
+//! Under `cfg(test)` or the `reference` feature, `naive` runs the Table III
+//! flow on the `rtl` crate's original map-based simulator, the reference
+//! the simulator-identity tests compare reports against.
+//!
 //! # Example
 //!
 //! ```
@@ -48,6 +52,8 @@
 
 pub mod dvs;
 pub mod estimate;
+#[cfg(any(test, feature = "reference"))]
+pub mod naive;
 pub mod vectors;
 pub mod voltage;
 

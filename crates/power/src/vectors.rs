@@ -34,8 +34,30 @@ impl RandomVectors {
 
     /// Generates one input sample.
     pub fn sample(&mut self) -> BTreeMap<String, i64> {
-        let max = 1i64 << self.bitwidth.min(62);
+        let max = self.bound();
         self.input_names.iter().map(|name| (name.clone(), self.rng.gen_range(0..max))).collect()
+    }
+
+    /// Generates one input sample into `out`, one value per input in
+    /// [`RandomVectors::input_names`] order — the layout
+    /// `rtl::Simulator::run_dense` reads.  It draws exactly what
+    /// [`RandomVectors::sample`] draws, so a seed yields the same vectors
+    /// through either call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly one slot per input.
+    pub fn sample_into(&mut self, out: &mut [i64]) {
+        assert_eq!(out.len(), self.input_names.len(), "one slot per primary input");
+        let max = self.bound();
+        for value in out {
+            *value = self.rng.gen_range(0..max);
+        }
+    }
+
+    /// Exclusive upper bound of a drawn value.
+    fn bound(&self) -> i64 {
+        1i64 << self.bitwidth.min(62)
     }
 
     /// Generates `n` input samples.
@@ -74,6 +96,19 @@ mod tests {
             }
         }
         assert_eq!(v.input_names(), &["a".to_owned(), "b".to_owned()]);
+    }
+
+    #[test]
+    fn dense_samples_draw_the_same_vectors_as_maps() {
+        let g = design();
+        let mut maps = RandomVectors::new(&g, 42);
+        let mut dense = RandomVectors::new(&g, 42);
+        let mut buffer = [0i64; 2];
+        for _ in 0..50 {
+            let sample = maps.sample();
+            dense.sample_into(&mut buffer);
+            assert_eq!(buffer, [sample["a"], sample["b"]]);
+        }
     }
 
     #[test]

@@ -110,6 +110,16 @@ impl Controller {
         Controller { num_steps: schedule.num_steps(), enables }
     }
 
+    /// A controller with exactly the given enables, for tests that need a
+    /// controller no scheduling result would produce.
+    #[cfg(test)]
+    pub(crate) fn from_enables(
+        num_steps: u32,
+        enables: impl IntoIterator<Item = OperationEnable>,
+    ) -> Self {
+        Controller { num_steps, enables: enables.into_iter().map(|e| (e.node, e)).collect() }
+    }
+
     /// Number of controller states (= control steps).
     pub fn num_steps(&self) -> u32 {
         self.num_steps

@@ -18,7 +18,11 @@
 //! * [`sim`] — a cycle-accurate register-transfer simulator that executes
 //!   the schedule sample by sample, honours the gated enables, checks
 //!   functional equivalence against the untimed CDFG semantics and records
-//!   switching activity (the DesignPower substitute used for Table III).
+//!   switching activity (the DesignPower substitute used for Table III),
+//!   compiled once per design into dense per-step programs,
+//! * `naive` — the original map-based simulator, compiled under
+//!   `cfg(test)` or the `reference` feature as the behavioural reference
+//!   the simulator-identity tests compare against.
 //!
 //! # Example
 //!
@@ -56,6 +60,8 @@
 
 pub mod controller;
 pub mod gates;
+#[cfg(any(test, feature = "reference"))]
+pub mod naive;
 pub mod sim;
 pub mod vhdl;
 

@@ -59,8 +59,25 @@ impl Schedule {
     }
 
     /// All nodes assigned to `step`, in node-id order.
+    ///
+    /// Scans the whole schedule; callers visiting every step should use
+    /// [`Schedule::by_step`] instead.
     pub fn nodes_in_step(&self, step: u32) -> Vec<NodeId> {
         self.steps.iter().filter(|(_, &s)| s == step).map(|(&n, _)| n).collect()
+    }
+
+    /// The nodes of every step, built in one pass: element `i` holds the
+    /// nodes of step `i + 1` in node-id order, so the result has
+    /// [`Schedule::num_steps`] entries and `by_step()[s - 1]` equals
+    /// `nodes_in_step(s)` for every step `s`.
+    pub fn by_step(&self) -> Vec<Vec<NodeId>> {
+        let mut steps = vec![Vec::new(); self.num_steps as usize];
+        for (&node, &step) in &self.steps {
+            if let Some(nodes) = (step as usize).checked_sub(1).and_then(|i| steps.get_mut(i)) {
+                nodes.push(node);
+            }
+        }
+        steps
     }
 
     /// The highest step actually used (0 when empty).  This can be smaller
@@ -74,9 +91,9 @@ impl Schedule {
     /// provide for this schedule.
     pub fn resource_usage(&self, cdfg: &Cdfg) -> ResourceSet {
         let mut max = ResourceSet::new();
-        for step in 1..=self.num_steps {
+        for nodes in self.by_step() {
             let mut used = ResourceSet::new();
-            for node in self.nodes_in_step(step) {
+            for node in nodes {
                 if let Some(data) = cdfg.node(node) {
                     if data.op.is_functional() {
                         used.bump(data.op.class());
@@ -147,9 +164,9 @@ impl Schedule {
             }
         }
         // Resources.
-        for step in 1..=self.num_steps {
+        for (step, nodes) in (1..).zip(self.by_step()) {
             let mut used: BTreeMap<OpClass, usize> = BTreeMap::new();
-            for node in self.nodes_in_step(step) {
+            for node in nodes {
                 if let Some(data) = cdfg.node(node) {
                     *used.entry(data.op.class()).or_insert(0) += 1;
                 }
@@ -171,9 +188,8 @@ impl Schedule {
     /// Renders the schedule as a step-by-step table using node names.
     pub fn render(&self, cdfg: &Cdfg) -> String {
         let mut out = String::new();
-        for step in 1..=self.num_steps {
-            let names: Vec<String> = self
-                .nodes_in_step(step)
+        for (step, nodes) in (1..).zip(self.by_step()) {
+            let names: Vec<String> = nodes
                 .into_iter()
                 .filter_map(|n| cdfg.node(n).map(|d| format!("{} ({})", d.name, d.op)))
                 .collect();
@@ -283,6 +299,23 @@ mod tests {
             err,
             ScheduleError::ResourceOverflow { class: "-", used: 2, limit: 1, .. }
         ));
+    }
+
+    #[test]
+    fn by_step_groups_every_step_like_nodes_in_step() {
+        let (_, gt, amb, bma, m) = abs_diff();
+        let mut s = Schedule::new(4);
+        s.assign(m, 3);
+        s.assign(bma, 1);
+        s.assign(gt, 1);
+        s.assign(amb, 3);
+        let groups = s.by_step();
+        assert_eq!(groups.len(), 4, "one entry per step, idle steps included");
+        for (step, nodes) in (1..).zip(&groups) {
+            assert_eq!(nodes, &s.nodes_in_step(step), "step {step}");
+        }
+        assert_eq!(groups[0], vec![gt, bma], "node-id order within a step");
+        assert!(Schedule::new(0).by_step().is_empty());
     }
 
     #[test]

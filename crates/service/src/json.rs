@@ -139,7 +139,7 @@ impl Json {
     /// Parses one JSON document; trailing content (other than whitespace) is
     /// an error, so a framing bug can never silently truncate a message.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut parser = Parser { text, bytes: text.as_bytes(), pos: 0 };
         let value = parser.value()?;
         parser.skip_whitespace();
         if parser.pos != parser.bytes.len() {
@@ -171,6 +171,7 @@ fn escape_into(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -300,12 +301,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_owned())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // in one slice.  Both are ASCII, so the run ends on a
+                    // char boundary of the (already valid) input text.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or("unterminated string")?;
+                    out.push_str(self.text.get(self.pos..self.pos + run).ok_or("non-utf8 string")?);
+                    self.pos += run;
                 }
             }
         }
@@ -417,6 +421,35 @@ mod tests {
         roundtrip(&Json::Str("π ≈ 3.14159 — ✓ 🦀".to_owned()));
         assert_eq!(Json::parse("\"\\u00e9\\ud83e\\udd80\"").unwrap().as_str(), Some("é🦀"));
         assert!(Json::parse("\"\\ud800\"").is_err(), "lone surrogate rejected");
+    }
+
+    #[test]
+    fn megabyte_string_with_every_escape_round_trips() {
+        // (wire text, decoded text) pieces: every escape the parser knows,
+        // a surrogate pair, and raw multi-byte characters between them.
+        let pieces = [
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\b", "\u{0008}"),
+            ("\\f", "\u{000c}"),
+            ("\\n", "\n"),
+            ("\\r", "\r"),
+            ("\\t", "\t"),
+            ("\\u00e9", "é"),
+            ("\\ud83e\\udd80", "🦀"),
+            ("π ≈ 3.14159 — ✓ 🦀 plain ascii run ", "π ≈ 3.14159 — ✓ 🦀 plain ascii run "),
+        ];
+        let (mut wire, mut expected) = (String::from("\""), String::new());
+        while expected.len() < 1 << 20 {
+            for (escaped, decoded) in pieces {
+                wire.push_str(escaped);
+                expected.push_str(decoded);
+            }
+        }
+        wire.push('"');
+        assert_eq!(Json::parse(&wire).unwrap().as_str(), Some(expected.as_str()));
+        roundtrip(&Json::Str(expected));
     }
 
     #[test]
