@@ -25,10 +25,10 @@
 //! point).  Control edges are physically inserted only for *accepted*
 //! multiplexors; cycles are pre-checked against a bitset ancestor query, so a
 //! rejected candidate never mutates the working graph at all.  The retained
-//! [`crate::naive`] reference implements the original
-//! insert-recompute-rollback formulation and the identity tests pin both
-//! paths to the same decisions.  Step 12 (datapath and controller generation)
-//! lives in the `binding` and `rtl` crates.
+//! `naive` reference (compiled for tests and the `reference` feature)
+//! implements the original insert-recompute-rollback formulation and the
+//! identity tests pin both paths to the same decisions.  Step 12 (datapath
+//! and controller generation) lives in the `binding` and `rtl` crates.
 
 use cdfg::{Cdfg, NodeId};
 use sched::hyper::{self, HyperOptions};

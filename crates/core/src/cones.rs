@@ -30,7 +30,7 @@
 //! [`crate::algorithm`] prepares once and analyzes hundreds of muxes against
 //! the same set.  The public [`MuxCones`] sets stay `BTreeSet` so reports
 //! and orderings are byte-identical to the original implementation (the
-//! retained [`crate::naive`] reference pins this equality in the
+//! retained `naive` reference pins this equality in the
 //! cone-identity property tests).
 
 use std::collections::BTreeSet;

@@ -454,11 +454,6 @@ impl Engine {
         cancel: Option<&std::sync::atomic::AtomicBool>,
         progress: Option<&(dyn Fn(crate::Progress) + Sync)>,
     ) -> Option<ParetoReport> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            threads
-        };
         let forward;
         let ctl = pool::MapControl {
             cancel,

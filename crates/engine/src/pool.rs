@@ -52,23 +52,13 @@ impl MapControl<'_> {
     }
 }
 
-/// Applies `f` to every item on `threads` worker threads and returns the
-/// results in input order.
+/// Applies `f` to every item on `threads` worker threads (0 = one per
+/// available CPU) and returns the results in input order, with cooperative
+/// cancellation and progress reporting.
 ///
-/// `threads` is clamped to `1..=items.len()`; with one thread (or one item)
+/// `threads` is capped at `items.len()`; with one thread (or one item)
 /// everything runs on the calling thread, which keeps single-threaded runs
 /// free of synchronisation entirely.
-pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: &F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_controlled(items, threads, f, MapControl::default())
-        .expect("a map without a cancel flag cannot be cancelled")
-}
-
-/// [`parallel_map`] with cooperative cancellation and progress reporting.
 ///
 /// Returns `None` when the control's cancel flag stopped the map before
 /// every item ran — the partial results are discarded, never reordered or
@@ -89,7 +79,11 @@ where
     if jobs == 0 {
         return Some(Vec::new());
     }
-    let threads = threads.max(1).min(jobs);
+    let threads = match threads {
+        0 => thread::available_parallelism().map_or(1, usize::from),
+        n => n,
+    }
+    .min(jobs);
     if threads == 1 {
         if ctl.cancel.is_none() && ctl.progress.is_none() {
             return Some(items.into_iter().map(f).collect());
@@ -178,11 +172,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A map with no hooks, which therefore always completes.
+    fn map<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, threads: usize, f: &F) -> Vec<R> {
+        parallel_map_controlled(items, threads, f, MapControl::default()).expect("uncancellable")
+    }
+
     #[test]
     fn preserves_input_order_for_any_thread_count() {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1, 2, 3, 8, 200] {
-            let out = parallel_map(items.clone(), threads, &|x| x * 2);
+            let out = map(items.clone(), threads, &|x| x * 2);
             assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>(), "threads={threads}");
         }
     }
@@ -190,7 +189,7 @@ mod tests {
     #[test]
     fn runs_every_job_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let out = parallel_map((0..57).collect::<Vec<u32>>(), 4, &|x| {
+        let out = map((0..57).collect::<Vec<u32>>(), 4, &|x| {
             counter.fetch_add(1, Ordering::SeqCst);
             x
         });
@@ -202,7 +201,7 @@ mod tests {
     fn uneven_job_costs_are_stolen() {
         // One expensive job on worker 0's deque plus many cheap ones: the
         // cheap ones must still all complete (stolen by idle workers).
-        let out = parallel_map((0..32).collect::<Vec<u64>>(), 4, &|x| {
+        let out = map((0..32).collect::<Vec<u64>>(), 4, &|x| {
             if x == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
@@ -213,14 +212,14 @@ mod tests {
 
     #[test]
     fn empty_input_returns_empty() {
-        let out: Vec<u32> = parallel_map(Vec::<u32>::new(), 8, &|x| x);
+        let out: Vec<u32> = map(Vec::<u32>::new(), 8, &|x| x);
         assert!(out.is_empty());
     }
 
     #[test]
-    fn zero_threads_is_clamped_to_one() {
-        let out = parallel_map(vec![1, 2, 3], 0, &|x| x);
-        assert_eq!(out, vec![1, 2, 3]);
+    fn zero_threads_means_one_per_core() {
+        let items: Vec<u32> = (0..64).collect();
+        assert_eq!(map(items.clone(), 0, &|x| x + 1), map(items, 1, &|x| x + 1));
     }
 
     #[test]
@@ -308,7 +307,7 @@ mod tests {
     fn non_clone_results_are_moved_through_the_buffer() {
         // The result type is deliberately not Clone/Copy: the merge path
         // must move results out of the workers' local buffers.
-        let out = parallel_map((0..16).collect::<Vec<u32>>(), 4, &|x| Box::new(x * 3));
+        let out = map((0..16).collect::<Vec<u32>>(), 4, &|x| Box::new(x * 3));
         assert_eq!(
             out.iter().map(|b| **b).collect::<Vec<_>>(),
             (0..16).map(|x| x * 3).collect::<Vec<_>>()

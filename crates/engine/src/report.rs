@@ -510,6 +510,14 @@ fn scenario_json(scenario: &Scenario) -> String {
 /// Escapes and quotes a string for JSON output.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    json_string_into(s, &mut out);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal (quotes included).
+/// Escaping is the minimal canonical set — `"`, `\` and control characters —
+/// so embedded report bytes round-trip unchanged.
+pub fn json_string_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -525,7 +533,6 @@ pub fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Formats a float as a JSON number (shortest round-trip form; non-finite

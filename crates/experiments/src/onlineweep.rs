@@ -106,11 +106,6 @@ pub fn run_onlineweep(small: bool, threads: usize) -> Result<OnlineweepOutcome, 
         .into_iter()
         .map(|family| family_spec(family, small))
         .collect::<Result<Vec<_>, _>>()?;
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    };
     let outcomes = parallel_map_controlled(
         specs,
         threads,

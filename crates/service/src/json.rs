@@ -16,7 +16,7 @@
 //! *strings* inside protocol messages; this module only needs to escape and
 //! unescape them faithfully, never to re-parse their numerics.
 
-use std::fmt::Write as _;
+use engine::report::json_string_into;
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +110,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Number(token) => out.push_str(token),
-            Json::Str(s) => escape_into(s, out),
+            Json::Str(s) => json_string_into(s, out),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -127,7 +127,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    escape_into(key, out);
+                    json_string_into(key, out);
                     out.push(':');
                     value.emit_into(out);
                 }
@@ -147,27 +147,6 @@ impl Json {
         }
         Ok(value)
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).  Escaping is the
-/// minimal canonical set — `"`, `\` and control characters — so embedded
-/// report bytes round-trip unchanged.
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
