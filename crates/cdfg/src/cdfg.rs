@@ -340,6 +340,32 @@ impl Cdfg {
         Ok(id)
     }
 
+    /// Adds a control edge `before -> after` that the caller has already
+    /// proven acyclic, skipping the whole-graph cycle check
+    /// [`Cdfg::add_control_edge`] runs per edge.  The power-management
+    /// selection loop proves it with an ancestor query before accepting a
+    /// multiplexor.  Debug builds still verify acyclicity.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CdfgError::UnknownNode`] if either endpoint is stale.
+    pub fn add_acyclic_control_edge(
+        &mut self,
+        before: NodeId,
+        after: NodeId,
+    ) -> Result<EdgeId, CdfgError> {
+        if !self.graph.contains_node(before) {
+            return Err(CdfgError::UnknownNode(before));
+        }
+        if !self.graph.contains_node(after) {
+            return Err(CdfgError::UnknownNode(after));
+        }
+        self.touch();
+        let id = self.graph.add_edge(before, after, EdgeData::control());
+        debug_assert!(self.graph.is_acyclic(), "control edge {before} -> {after} closes a cycle");
+        Ok(id)
+    }
+
     /// Removes a previously added control edge.  Data edges cannot be removed
     /// through this method.
     ///
@@ -688,6 +714,22 @@ mod tests {
         assert_eq!(err, CdfgError::CyclicGraph);
         // Graph is still valid because the offending edge was rolled back.
         g.validate().unwrap();
+    }
+
+    #[test]
+    fn acyclic_insertion_matches_checked_insertion() {
+        let (mut checked, gt, amb, bma, _) = abs_diff();
+        let mut fast = checked.clone();
+        for after in [amb, bma] {
+            let a = checked.add_control_edge(gt, after).unwrap();
+            let b = fast.add_acyclic_control_edge(gt, after).unwrap();
+            assert_eq!(a, b, "same edge ids");
+        }
+        assert_eq!(checked.slices().preds(amb), fast.slices().preds(amb));
+        assert_eq!(checked.topological_order(), fast.topological_order());
+        let stale = NodeId::new(999);
+        assert_eq!(fast.add_acyclic_control_edge(stale, amb), Err(CdfgError::UnknownNode(stale)));
+        assert_eq!(fast.add_acyclic_control_edge(gt, stale), Err(CdfgError::UnknownNode(stale)));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   critical-path analysis, cone (transitive fanin/fanout) queries and
 //!   operation statistics ([`Cdfg`], [`OpCounts`]),
 //! * a cached, allocation-free CSR adjacency view over the graph
-//!   ([`Slices`], the scheduling kernels' fast path),
+//!   ([`Slices`], the scheduling kernels' fast path) and an
+//!   [`EdgeOverlay`] for precedence edges that should not rebuild it,
 //! * a fluent [`CdfgBuilder`] and Graphviz export ([`dot`]).
 //!
 //! # Example
@@ -53,6 +54,7 @@ pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod op;
+pub mod overlay;
 pub mod slices;
 pub mod stats;
 
@@ -64,5 +66,6 @@ pub use crate::cdfg::{
 pub use crate::error::CdfgError;
 pub use crate::graph::{DiGraph, EdgeId, NodeId};
 pub use crate::op::{CompareKind, Op, OpClass};
+pub use crate::overlay::EdgeOverlay;
 pub use crate::slices::Slices;
 pub use crate::stats::OpCounts;

@@ -26,16 +26,18 @@
 //! of a whole-graph reverse reachability per branch.  Per working graph, the
 //! data-reachability-to-outputs set (whose complement is the dead-end set)
 //! is computed once by [`ConeWorkspace::prepare`] and shared by every
-//! multiplexor — control edges never change it, so the per-mux loop in
-//! [`crate::algorithm`] prepares once and analyzes hundreds of muxes against
-//! the same set.  The public [`MuxCones`] sets stay `BTreeSet` so reports
+//! multiplexor — control edges never change it, so the preparation in
+//! [`crate::algorithm`] prepares once and analyzes every mux against the
+//! same set.  The public [`MuxCones`] sets stay `BTreeSet` so reports
 //! and orderings are byte-identical to the original implementation (the
 //! retained `naive` reference pins this equality in the
 //! cone-identity property tests).
 
 use std::collections::BTreeSet;
 
-use cdfg::{Cdfg, DenseBitSet, NodeId, Slices, MUX_FALSE_PORT, MUX_SELECT_PORT, MUX_TRUE_PORT};
+use cdfg::{
+    Cdfg, DenseBitSet, EdgeOverlay, NodeId, Slices, MUX_FALSE_PORT, MUX_SELECT_PORT, MUX_TRUE_PORT,
+};
 
 /// Reusable scratch state for mux-cone analysis: dense bitsets and node
 /// buffers sized to the graph once per [`ConeWorkspace::prepare`] call and
@@ -97,15 +99,21 @@ impl ConeWorkspace {
         }
     }
 
-    /// `node` plus every ancestor of `node` via data *and* control edges, as
-    /// a borrowed bitset.  This is the selection loop's mutation-free cycle
-    /// check: a control edge `select_driver -> top` would close a cycle iff
-    /// `top` is an ancestor of the select driver.
+    /// `node` plus every ancestor of `node` via data *and* control edges of
+    /// `cdfg` and `overlay`, as a borrowed bitset.  This is the selection
+    /// loop's mutation-free cycle check: a control edge
+    /// `select_driver -> top` would close a cycle iff `top` is an ancestor
+    /// of the select driver.
     ///
     /// # Panics
     ///
     /// Panics if the workspace was not prepared for a graph of this size.
-    pub fn ancestors_of(&mut self, cdfg: &Cdfg, node: NodeId) -> &DenseBitSet {
+    pub fn ancestors_of(
+        &mut self,
+        cdfg: &Cdfg,
+        overlay: &EdgeOverlay,
+        node: NodeId,
+    ) -> &DenseBitSet {
         let slices = cdfg.slices();
         self.assert_prepared(slices);
         self.scratch.clear();
@@ -113,7 +121,7 @@ impl ConeWorkspace {
         self.scratch.insert(node.index());
         self.stack.push(node);
         while let Some(n) = self.stack.pop() {
-            for &p in slices.preds(n) {
+            for &p in slices.preds(n).iter().chain(overlay.preds(n)) {
                 if self.scratch.insert(p.index()) {
                     self.stack.push(p);
                 }
@@ -326,11 +334,20 @@ impl MuxCones {
         !self.shutdown_false.is_empty() || !self.shutdown_true.is_empty()
     }
 
-    /// Nodes of a shut-down set with no predecessor inside the same set —
-    /// the "top nodes in the 0 and 1 fanin" that receive the new control
-    /// edges in step 10 of the paper's algorithm.
-    pub fn top_nodes(&self, cdfg: &Cdfg, set: &BTreeSet<NodeId>) -> Vec<NodeId> {
-        set.iter().copied().filter(|&n| cdfg.preds(n).iter().all(|p| !set.contains(p))).collect()
+    /// Nodes of a shut-down set with no predecessor inside the same set in
+    /// `cdfg` plus the edges of `overlay` — the "top nodes in the 0 and 1
+    /// fanin" that receive the new control edges in step 10 of the paper's
+    /// algorithm.
+    pub fn top_nodes(
+        &self,
+        cdfg: &Cdfg,
+        overlay: &EdgeOverlay,
+        set: &BTreeSet<NodeId>,
+    ) -> Vec<NodeId> {
+        set.iter()
+            .copied()
+            .filter(|&n| cdfg.preds(n).iter().chain(overlay.preds(n)).all(|p| !set.contains(p)))
+            .collect()
     }
 
     /// Number of operations (across both branches) that can be shut down.
@@ -371,7 +388,7 @@ mod tests {
         assert_eq!(cones.shutdown_true, [amb].into_iter().collect());
         assert!(cones.has_shutdown_candidates());
         assert_eq!(cones.shutdown_candidate_count(), 2);
-        assert_eq!(cones.top_nodes(&g, &cones.shutdown_false), vec![bma]);
+        assert_eq!(cones.top_nodes(&g, &EdgeOverlay::new(), &cones.shutdown_false), vec![bma]);
     }
 
     #[test]
@@ -583,16 +600,62 @@ mod tests {
     fn ancestors_of_matches_reachability() {
         let (mut g, gt, amb, bma, m) = abs_diff();
         g.add_control_edge(gt, bma).unwrap();
+        let none = EdgeOverlay::new();
         let mut ws = ConeWorkspace::new();
         ws.prepare(&g);
-        let anc = ws.ancestors_of(&g, bma);
+        let anc = ws.ancestors_of(&g, &none, bma);
         assert!(anc.contains(bma.index()), "a node is its own ancestor here");
         assert!(anc.contains(gt.index()), "control edges count as ancestry");
         assert!(!anc.contains(m.index()));
         assert!(!anc.contains(amb.index()));
-        let anc = ws.ancestors_of(&g, m);
+        let anc = ws.ancestors_of(&g, &none, m);
         for n in [gt, amb, bma, m] {
             assert!(anc.contains(n.index()), "{n} is an ancestor of the mux");
         }
+    }
+
+    #[test]
+    fn overlay_edges_count_as_ancestry_and_demote_top_nodes() {
+        // m1 = (a > b) ? (a - b) : (a + b); m2 = (a < b) ? (m1 * b) : (b - a)
+        let mut g = Cdfg::new("overlay");
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        let c1 = g.add_op(Op::Gt, &[a, b]).unwrap();
+        let c2 = g.add_op(Op::Lt, &[a, b]).unwrap();
+        let diff = g.add_op(Op::Sub, &[a, b]).unwrap();
+        let sum = g.add_op(Op::Add, &[a, b]).unwrap();
+        let m1 = g.add_mux(c1, sum, diff).unwrap();
+        let prod = g.add_op(Op::Mul, &[m1, b]).unwrap();
+        let other = g.add_op(Op::Sub, &[b, a]).unwrap();
+        let m2 = g.add_mux(c2, other, prod).unwrap();
+        g.add_output("o", m2).unwrap();
+
+        let mut overlay = EdgeOverlay::new();
+        overlay.insert(c1, c2);
+        let mut physical = g.clone();
+        physical.add_control_edge(c1, c2).unwrap();
+        let mut ws = ConeWorkspace::new();
+        ws.prepare(&g);
+        let slots = g.slices().slot_count();
+        let anc = ws.ancestors_of(&g, &overlay, c2);
+        let via_overlay: Vec<usize> = (0..slots).filter(|&i| anc.contains(i)).collect();
+        let mut ws2 = ConeWorkspace::new();
+        ws2.prepare(&physical);
+        let anc = ws2.ancestors_of(&physical, &EdgeOverlay::new(), c2);
+        let via_graph: Vec<usize> = (0..slots).filter(|&i| anc.contains(i)).collect();
+        assert!(via_overlay.contains(&c1.index()), "overlay edges count as ancestry");
+        assert_eq!(via_overlay, via_graph);
+
+        // m2's true branch shuts down m1's whole cone; an overlay edge
+        // between two of its members demotes the later one from the tops.
+        let cones = MuxCones::analyze(&g, m2);
+        assert!(cones.shutdown_true.contains(&c1) && cones.shutdown_true.contains(&diff));
+        let tops = cones.top_nodes(&g, &EdgeOverlay::new(), &cones.shutdown_true);
+        assert!(tops.contains(&diff));
+        overlay.insert(c1, diff);
+        physical.add_control_edge(c1, diff).unwrap();
+        let over = cones.top_nodes(&g, &overlay, &cones.shutdown_true);
+        assert!(!over.contains(&diff), "diff now waits on c1 inside the set");
+        assert_eq!(over, cones.top_nodes(&physical, &EdgeOverlay::new(), &cones.shutdown_true));
     }
 }

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use cdfg::{cone, Cdfg, NodeId};
 
-use crate::cones::{ConeWorkspace, MuxCones};
+use crate::cones::MuxCones;
 
 /// Strategy for choosing the order in which multiplexors are examined for
 /// power management.
@@ -39,20 +39,31 @@ impl MuxOrder {
     /// strategy.
     pub fn order(&self, cdfg: &Cdfg) -> Vec<NodeId> {
         let muxes = cdfg.mux_nodes();
+        let cones = match self {
+            MuxOrder::BySavings => MuxCones::analyze_all(cdfg),
+            _ => Vec::new(),
+        };
+        self.order_from(&muxes, &cone::distances_to_outputs(cdfg), &cones)
+    }
+
+    /// [`MuxOrder::order`] from parts a caller evaluating many orders of
+    /// one design computes once: the design's multiplexors in ascending id
+    /// order, [`cone::distances_to_outputs`], and — read by
+    /// [`MuxOrder::BySavings`] only — the cones of `muxes`, index-aligned.
+    pub(crate) fn order_from(
+        &self,
+        muxes: &[NodeId],
+        dist: &[Option<u32>],
+        cones: &[MuxCones],
+    ) -> Vec<NodeId> {
+        let distance = |m: NodeId| dist[m.index()].unwrap_or(u32::MAX);
         match self {
-            MuxOrder::OutputsFirst => sort_by_output_distance(cdfg, muxes, false),
-            MuxOrder::InputsFirst => sort_by_output_distance(cdfg, muxes, true),
+            MuxOrder::OutputsFirst => sort_by_output_distance(muxes, distance, false),
+            MuxOrder::InputsFirst => sort_by_output_distance(muxes, distance, true),
             MuxOrder::BySavings => {
-                let mut ws = ConeWorkspace::new();
-                ws.prepare(cdfg);
-                let dist = cone::distances_to_outputs(cdfg);
-                let mut with_sizes: Vec<(usize, u32, NodeId)> = muxes
-                    .into_iter()
-                    .map(|m| {
-                        let cones = MuxCones::analyze_with(cdfg, m, &mut ws);
-                        let d = dist[m.index()].unwrap_or(u32::MAX);
-                        (cones.shutdown_candidate_count(), d, m)
-                    })
+                let mut with_sizes: Vec<(usize, u32, NodeId)> = cones
+                    .iter()
+                    .map(|c| (c.shutdown_candidate_count(), distance(c.mux), c.mux))
                     .collect();
                 // Most candidates first; ties broken towards the outputs.
                 with_sizes.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
@@ -63,25 +74,21 @@ impl MuxOrder {
                 let mut out: Vec<NodeId> =
                     order.iter().copied().filter(|m| all.contains(m)).collect();
                 let mentioned: BTreeSet<NodeId> = out.iter().copied().collect();
-                let rest = sort_by_output_distance(
-                    cdfg,
-                    muxes.into_iter().filter(|m| !mentioned.contains(m)).collect(),
-                    false,
-                );
-                out.extend(rest);
+                let rest: Vec<NodeId> =
+                    muxes.iter().copied().filter(|m| !mentioned.contains(m)).collect();
+                out.extend(sort_by_output_distance(&rest, distance, false));
                 out
             }
         }
     }
 }
 
-fn sort_by_output_distance(cdfg: &Cdfg, muxes: Vec<NodeId>, reverse: bool) -> Vec<NodeId> {
-    // One multi-source reverse BFS gives every distance at once; per mux the
-    // value (and therefore the order) is identical to the per-node forward
-    // BFS this used to run.
-    let dist = cone::distances_to_outputs(cdfg);
-    let mut keyed: Vec<(u32, NodeId)> =
-        muxes.into_iter().map(|m| (dist[m.index()].unwrap_or(u32::MAX), m)).collect();
+fn sort_by_output_distance(
+    muxes: &[NodeId],
+    distance: impl Fn(NodeId) -> u32,
+    reverse: bool,
+) -> Vec<NodeId> {
+    let mut keyed: Vec<(u32, NodeId)> = muxes.iter().map(|&m| (distance(m), m)).collect();
     keyed.sort();
     if reverse {
         keyed.reverse();

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeSet;
 
-use cdfg::{cone, Cdfg, NodeId, MUX_FALSE_PORT, MUX_SELECT_PORT, MUX_TRUE_PORT};
+use cdfg::{cone, Cdfg, EdgeOverlay, NodeId, MUX_FALSE_PORT, MUX_SELECT_PORT, MUX_TRUE_PORT};
 use sched::hyper::{self, HyperOptions};
 use sched::Timing;
 
@@ -154,7 +154,7 @@ pub fn power_manage(
         let mut added = Vec::new();
         let mut ok = true;
         for set in [&cones.shutdown_false, &cones.shutdown_true] {
-            for top in cones.top_nodes(&working, set) {
+            for top in cones.top_nodes(&working, &EdgeOverlay::new(), set) {
                 match working.add_control_edge(cones.select_driver, top) {
                     Ok(edge) => added.push(edge),
                     Err(_) => ok = false,

@@ -44,6 +44,20 @@ impl ManagedMux {
     }
 }
 
+/// The savings report of `schedule` and `managed` on `cdfg`.  Control edges
+/// change neither the functional nodes nor their operations, so the input
+/// graph of a power-management run gives the same report as its result's.
+pub(crate) fn savings_report(
+    cdfg: &Cdfg,
+    schedule: &Schedule,
+    managed: &[ManagedMux],
+    probs: &SelectProbabilities,
+    weights: &OpWeights,
+) -> SavingsReport {
+    let activation = Activation::compute(cdfg, schedule, managed, probs);
+    SavingsReport::compute(cdfg.op_counts(), &activation, weights)
+}
+
 /// The complete result of [`crate::power_manage`].
 #[derive(Debug, Clone)]
 pub struct PowerManagementResult {
@@ -111,8 +125,7 @@ impl PowerManagementResult {
     /// Datapath power savings report under explicit probabilities and
     /// weights.
     pub fn savings_with(&self, probs: &SelectProbabilities, weights: &OpWeights) -> SavingsReport {
-        let activation = self.activation(probs);
-        SavingsReport::compute(self.op_counts(), &activation, weights)
+        savings_report(&self.cdfg, &self.schedule, &self.managed, probs, weights)
     }
 
     /// Static operation counts of the design (Table I columns).

@@ -18,7 +18,7 @@
 //! bounds-checked load, and [`Timing::compute_into`] lets callers reuse the
 //! two buffers across recomputations instead of reallocating.
 
-use cdfg::{Cdfg, NodeId, Slices};
+use cdfg::{Cdfg, EdgeOverlay, NodeId, Slices};
 
 /// Reusable scratch state for [`Timing::tighten`]: the undo log that lets a
 /// failed tightening restore the previous fixed point, and the relaxation
@@ -146,11 +146,14 @@ impl Timing {
     /// precedence edges that are about to be added to the graph, without
     /// recomputing from scratch.
     ///
-    /// `self` must hold the result of [`Timing::compute_into`] for `cdfg` as
-    /// it currently is (the edges of `extra` not yet inserted), and that
-    /// state must be feasible.  Each `(before, after)` pair of `extra` must
-    /// connect functional nodes and must not close a cycle — in particular no
-    /// `before` may be reachable from any `after`.  Under those conditions a
+    /// The graph is `cdfg` plus the edges of `overlay`, which the relaxation
+    /// walks beside the cached [`Slices`] so that accepting edges never
+    /// rebuilds them.  `self` must hold the result of
+    /// [`Timing::compute_into`] for that graph (the edges of `extra` not yet
+    /// in it), and that state must be feasible.  Each `(before, after)` pair
+    /// of `extra` must connect functional nodes and must not close a cycle —
+    /// in particular no `before` may be reachable from any `after`.  Under
+    /// those conditions a
     /// seeded worklist relaxation from the edge endpoints converges to
     /// exactly the values a full recomputation over the extended graph would
     /// produce: ASAP increases propagate forward from the destinations, ALAP
@@ -168,6 +171,7 @@ impl Timing {
     pub fn tighten(
         &mut self,
         cdfg: &Cdfg,
+        overlay: &EdgeOverlay,
         extra: &[(NodeId, NodeId)],
         delta: &mut TimingDelta,
     ) -> bool {
@@ -177,7 +181,8 @@ impl Timing {
         delta.alap_log.clear();
         delta.worklist.clear();
 
-        let ok = self.raise_asap(slices, extra, delta) && self.lower_alap(slices, extra, delta);
+        let ok = self.raise_asap(slices, overlay, extra, delta)
+            && self.lower_alap(slices, overlay, extra, delta);
         if !ok {
             // Replay the undo logs in reverse so a slot recorded twice ends
             // on its original value.
@@ -199,6 +204,7 @@ impl Timing {
     fn raise_asap(
         &mut self,
         slices: &Slices,
+        overlay: &EdgeOverlay,
         extra: &[(NodeId, NodeId)],
         delta: &mut TimingDelta,
     ) -> bool {
@@ -215,7 +221,7 @@ impl Timing {
         }
         while let Some(n) = delta.worklist.pop() {
             let cand = self.asap[n.index()] + 1;
-            for &s in slices.succs(n) {
+            for &s in slices.succs(n).iter().chain(overlay.succs(n)) {
                 if slices.is_functional(s) && cand > self.asap[s.index()] {
                     delta.asap_log.push((s.index() as u32, self.asap[s.index()]));
                     self.asap[s.index()] = cand;
@@ -234,6 +240,7 @@ impl Timing {
     fn lower_alap(
         &mut self,
         slices: &Slices,
+        overlay: &EdgeOverlay,
         extra: &[(NodeId, NodeId)],
         delta: &mut TimingDelta,
     ) -> bool {
@@ -250,7 +257,7 @@ impl Timing {
         }
         while let Some(n) = delta.worklist.pop() {
             let cand = self.alap[n.index()].saturating_sub(1);
-            for &p in slices.preds(n) {
+            for &p in slices.preds(n).iter().chain(overlay.preds(n)) {
                 if slices.is_functional(p) && cand < self.alap[p.index()] {
                     delta.alap_log.push((p.index() as u32, self.alap[p.index()]));
                     self.alap[p.index()] = cand;
@@ -426,12 +433,13 @@ mod tests {
     #[test]
     fn tighten_matches_full_recomputation_when_feasible() {
         let (mut g, gt, amb, bma, _) = abs_diff();
+        let none = EdgeOverlay::new();
         for latency in 3..6 {
             let mut t = Timing::compute(&g, latency);
             let mut delta = TimingDelta::default();
             // The edges the power manager would tentatively add for the mux.
             let extra = [(gt, amb), (gt, bma)];
-            assert!(t.tighten(&g, &extra, &mut delta), "latency {latency} stays feasible");
+            assert!(t.tighten(&g, &none, &extra, &mut delta), "latency {latency} stays feasible");
             let mut h = g.clone();
             h.add_control_edge(gt, amb).unwrap();
             h.add_control_edge(gt, bma).unwrap();
@@ -444,29 +452,31 @@ mod tests {
         let mut t = Timing::compute(&g, 3);
         let before = t.clone();
         let mut delta = TimingDelta::default();
-        assert!(t.tighten(&g, &[(gt, amb)], &mut delta));
+        assert!(t.tighten(&g, &none, &[(gt, amb)], &mut delta));
         assert_eq!(t, before);
     }
 
     #[test]
     fn tighten_restores_state_on_infeasibility() {
         let (g, gt, amb, bma, _) = abs_diff();
+        let none = EdgeOverlay::new();
         // Two steps cannot hold the comparator -> subtraction -> mux chain.
         let mut t = Timing::compute(&g, 2);
         assert!(t.is_feasible());
         let before = t.clone();
         let mut delta = TimingDelta::default();
-        assert!(!t.tighten(&g, &[(gt, amb), (gt, bma)], &mut delta));
+        assert!(!t.tighten(&g, &none, &[(gt, amb), (gt, bma)], &mut delta));
         assert_eq!(t, before, "failed tightening leaves the analysis untouched");
         // The same delta buffer is reusable for a successful call afterwards.
         let mut t3 = Timing::compute(&g, 3);
-        assert!(t3.tighten(&g, &[(gt, amb), (gt, bma)], &mut delta));
+        assert!(t3.tighten(&g, &none, &[(gt, amb), (gt, bma)], &mut delta));
     }
 
     #[test]
     fn tighten_chains_across_accepted_edges() {
-        // Accepting edges one batch at a time keeps the analysis at the fixed
-        // point of the growing graph: the shape of the per-mux loop.
+        // Accepting edges one batch at a time into an overlay keeps the
+        // analysis at the fixed point of the growing graph: the shape of the
+        // per-mux loop, which never mutates the graph itself.
         let mut g = Cdfg::new("chain");
         let a = g.add_input("a");
         let b = g.add_input("b");
@@ -482,13 +492,33 @@ mod tests {
         let latency = 6;
         let mut t = Timing::compute(&g, latency);
         let mut delta = TimingDelta::default();
-        assert!(t.tighten(&g, &[(c1, s1), (c1, s2)], &mut delta));
-        g.add_control_edge(c1, s1).unwrap();
-        g.add_control_edge(c1, s2).unwrap();
-        assert_eq!(t, Timing::compute(&g, latency), "fixed point after first batch");
-        assert!(t.tighten(&g, &[(c2, s3)], &mut delta));
-        g.add_control_edge(c2, s3).unwrap();
-        assert_eq!(t, Timing::compute(&g, latency), "fixed point after second batch");
+        let mut overlay = EdgeOverlay::new();
+        let mut physical = g.clone();
+        let batches: [&[(NodeId, NodeId)]; 3] =
+            [&[(c1, s1), (c1, s2)], &[(c2, s3)], &[(c1, s3), (c1, s1)]];
+        for (i, batch) in batches.into_iter().enumerate() {
+            assert!(t.tighten(&g, &overlay, batch, &mut delta), "batch {i} stays feasible");
+            for &(before, after) in batch {
+                overlay.insert(before, after);
+                physical.add_control_edge(before, after).unwrap();
+            }
+            assert_eq!(t, Timing::compute(&physical, latency), "fixed point after batch {i}");
+        }
+        assert!(g.control_edges().is_empty(), "the overlay left the graph untouched");
+
+        // A batch that is infeasible only because of the overlay's edges
+        // must be refused: at latency 5, c2 -> c1 alone fits, but with the
+        // overlay's c1 -> s1 the chain c2 c1 s1 m1 s3 m2 needs six steps.
+        let none = EdgeOverlay::new();
+        let mut plain = Timing::compute(&g, 5);
+        assert!(plain.tighten(&g, &none, &[(c2, c1)], &mut delta));
+        let mut tight = Timing::compute(&g, 5);
+        let mut overlay = EdgeOverlay::new();
+        assert!(tight.tighten(&g, &overlay, &[(c1, s1)], &mut delta));
+        overlay.insert(c1, s1);
+        let before = tight.clone();
+        assert!(!tight.tighten(&g, &overlay, &[(c2, c1)], &mut delta));
+        assert_eq!(tight, before, "refused batch leaves the analysis untouched");
     }
 
     #[test]
